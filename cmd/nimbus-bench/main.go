@@ -21,7 +21,7 @@
 //	nimbus-bench -run churn           # schemes x session-arrival workloads
 //	nimbus-bench -run all -full
 //	nimbus-bench -benchmark [-bench-out BENCH_runner.json] [-topology access-hop]
-//	nimbus-bench -benchmark -churn "bulk(load=24)" -timer-wheel
+//	nimbus-bench -benchmark -churn "bulk(load=24)"
 //	nimbus-bench -grid sweep.json -out results.json
 //	nimbus-bench -grid sweep.json -remote http://127.0.0.1:9037 -out results.json
 //
@@ -74,7 +74,6 @@ func realMain() int {
 		seed            = flag.Int64("seed", 1, "simulation seed")
 		full            = flag.Bool("full", false, "run at the paper's full horizons (slower)")
 		workers         = flag.Int("workers", 0, "worker pool size for experiment grids (0 = all cores, 1 = sequential)")
-		timerWheel      = flag.Bool("timer-wheel", false, "back every scheduler with the hashed timer wheel instead of the 4-ary heap (identical results; faster under dense timer churn)")
 		bench           = flag.Bool("benchmark", false, "run the canonical scenario sweep and report events/sec per scenario")
 		benchOut        = flag.String("bench-out", "BENCH_runner.json", "where -benchmark writes its results (.json or .csv)")
 		gridFile        = flag.String("grid", "", "run the sweep grid described by this JSON file (a runner.Grid document)")
@@ -85,7 +84,6 @@ func realMain() int {
 	)
 	flag.Parse()
 	exp.Workers = *workers
-	exp.TimerWheel = *timerWheel
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

@@ -81,7 +81,6 @@ func realMain() int {
 		dur     = flag.Duration("dur", 60*time.Second, "simulated duration")
 		seed    = flag.String("seed", "1", "random seed(s), comma-separated")
 		workers = flag.Int("workers", 0, "sweep worker pool size (0 = all cores, 1 = sequential)")
-		wheel   = flag.Bool("timer-wheel", false, "back every scheduler with the hashed timer wheel instead of the 4-ary heap (identical results; faster under dense timer churn)")
 		out     = flag.String("out", "", "write sweep results to this file (.json or .csv)")
 		quiet   = flag.Bool("quiet", false, "suppress the per-second trace (single-scenario mode)")
 
@@ -94,7 +93,6 @@ func realMain() int {
 		listExperiments = flag.Bool("list-experiments", false, "list paper experiment ids (run them with nimbus-bench -run) and exit")
 	)
 	flag.Parse()
-	exp.TimerWheel = *wheel
 	if exp.HandleListFlags(*listSchemes, *listTraces, *listTopologies, *listExperiments) {
 		return 0
 	}

@@ -46,12 +46,6 @@ type NetConfig struct {
 	// links burst; see Link.SetBurst for the (documented) event-timing
 	// difference versus per-packet forwarding.
 	LinkBurst int
-	// TimerWheel backs the scheduler's event queue with the hashed timer
-	// wheel (sim.Scheduler.UseTimerWheel) instead of the 4-ary heap.
-	// Event order — and therefore every result — is identical either
-	// way; the wheel wins on dense timer churn (thousands of concurrent
-	// flows), so churn scenarios enable it automatically.
-	TimerWheel bool
 	// Fluid, when non-empty, is a canonical crosstraffic.FluidSpec string
 	// ("on", "dt=5ms"): every link gets the fluid load term enabled
 	// (Link.EnableFluid), and AddCross kinds with a fluid model (cbr,
@@ -93,9 +87,6 @@ func NewRig(cfg NetConfig) *Rig {
 		panic("exp: " + err.Error())
 	}
 	sch := sim.NewScheduler()
-	if cfg.TimerWheel {
-		sch.UseTimerWheel()
-	}
 	rng := sim.NewRand(cfg.Seed + 1)
 	nominal := cfg.RateMbps * 1e6
 	// The µ link depends on the nominal rate for chains mixing scaled and

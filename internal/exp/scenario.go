@@ -19,14 +19,6 @@ import (
 // how many cells run at once.
 var Workers = 0
 
-// TimerWheel makes every rig back its scheduler with the hashed timer
-// wheel (sim.Scheduler.UseTimerWheel) instead of the 4-ary heap. Results
-// are identical either way — the wheel pops events in the same order —
-// so this is purely a performance knob; cmd binaries set it from their
-// -timer-wheel flag. Churn scenarios use the wheel regardless: their
-// dense per-flow timer populations are what it exists for.
-var TimerWheel = false
-
 // mapCells fans the n cells of an experiment grid out on the shared
 // worker pool, returning results in cell order.
 func mapCells[T any](n int, f func(i int) T) []T {
@@ -36,16 +28,15 @@ func mapCells[T any](n int, f func(i int) T) []T {
 // NetConfigFor translates a declarative scenario's link description.
 func NetConfigFor(sc runner.Scenario) NetConfig {
 	return NetConfig{
-		RateMbps:   sc.RateMbps,
-		RTT:        sim.FromSeconds(sc.RTTms / 1e3),
-		Buffer:     sim.FromSeconds(sc.BufferMs / 1e3),
-		AQM:        sc.AQM,
-		PIETarget:  sim.FromSeconds(sc.PIETargetMs / 1e3),
-		Seed:       sc.EffectiveSeed(),
-		Topology:   sc.Topology,
-		LinkBurst:  sc.LinkBurst,
-		TimerWheel: TimerWheel || sc.Churn != "",
-		Fluid:      sc.FluidCross,
+		RateMbps:  sc.RateMbps,
+		RTT:       sim.FromSeconds(sc.RTTms / 1e3),
+		Buffer:    sim.FromSeconds(sc.BufferMs / 1e3),
+		AQM:       sc.AQM,
+		PIETarget: sim.FromSeconds(sc.PIETargetMs / 1e3),
+		Seed:      sc.EffectiveSeed(),
+		Topology:  sc.Topology,
+		LinkBurst: sc.LinkBurst,
+		Fluid:     sc.FluidCross,
 	}
 }
 

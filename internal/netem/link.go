@@ -47,8 +47,8 @@ type Link struct {
 	rateChange func()
 
 	// enterFn is the topology's prebound entry callback ("send the event's
-	// packet on this link"): one per link, so inter-hop forwarding rides
-	// pooled AfterArg events with no per-packet closures.
+	// packet on this link"): one per link, so packets ride delay lines
+	// into the link with no per-packet closures.
 	enterFn func(arg any)
 
 	// Burst forwarding (SetBurst): a constant-rate link draining a

@@ -11,6 +11,10 @@ import (
 type Hop struct {
 	Link  *Link
 	Delay sim.Time
+
+	// line carries packets across the hop's wire delay; AddRoute binds
+	// it, so forwarding never looks a line up per packet.
+	line *sim.Line
 }
 
 // Route is a flow path through the topology: the ordered hops of the data
@@ -34,8 +38,10 @@ type Route struct {
 // an alias for Topology, so every layer that speaks *netem.Network works
 // on any topology unchanged.
 //
-// Hop forwarding is allocation-free: packets ride pooled AfterArg events
-// between hops through each link's prebound entry callback, and the
+// Hop forwarding is allocation-free: every propagation delay — the
+// access wires of an attachment and each hop's wire — is a shared
+// sim.Line bound when the flow attaches or the route is added, packets
+// enter links through each link's prebound entry callback, and the
 // topology owns a shared packet free list that senders and raw sources
 // draw from and that delivery (including delivery for detached flows)
 // returns packets to.
@@ -104,10 +110,16 @@ func (t *Topology) AddLink(l *Link) {
 }
 
 // AddRoute registers a route. The first route added with an empty name is
-// the default route Attach uses.
+// the default route Attach uses. The route's hop delays are fixed from
+// here on: AddRoute binds each hop's delay line.
 func (t *Topology) AddRoute(r *Route) {
 	if len(r.Fwd) == 0 {
 		panic("netem: route " + r.Name + " has no forward hops")
+	}
+	for _, hops := range [][]Hop{r.Fwd, r.Rev} {
+		for i := range hops {
+			hops[i].line = t.Sch.Line(hops[i].Delay)
+		}
 	}
 	t.routes[r.Name] = r
 	if r.Name == "" {
@@ -166,7 +178,8 @@ func (t *Topology) PutPacket(p *Packet) {
 // FreePackets returns the shared free list's size (tests).
 func (t *Topology) FreePackets() int { return len(t.pktFree) }
 
-// Attachment describes one flow's path through the topology.
+// Attachment describes one flow's path through the topology. Its delays
+// are fixed at attach time, which binds the access delay lines.
 type Attachment struct {
 	ID       FlowID
 	FwdDelay sim.Time // one-way sender→first hop (plus last hop→receiver wire)
@@ -180,6 +193,10 @@ type Attachment struct {
 
 	net   *Topology
 	route *Route
+	// fwd carries data packets to the first hop's queue (FwdDelay plus
+	// the first hop's wire); rev carries ACKs to the sender on ideal
+	// reverse routes (RevDelay), or to the first reverse hop's queue.
+	fwd, rev *sim.Line
 }
 
 // BaseRTT returns the two-way propagation delay of a flow attachment:
@@ -221,6 +238,12 @@ func (t *Topology) AttachAsymOn(route string, fwd, rev sim.Time) *Attachment {
 	}
 	t.next++
 	a := &Attachment{ID: t.next, FwdDelay: fwd, RevDelay: rev, net: t, route: r}
+	a.fwd = t.Sch.Line(fwd + r.Fwd[0].Delay)
+	if len(r.Rev) == 0 {
+		a.rev = t.Sch.Line(rev)
+	} else {
+		a.rev = t.Sch.Line(rev + r.Rev[0].Delay)
+	}
 	t.flows[a.ID] = a
 	return a
 }
@@ -245,8 +268,7 @@ func (a *Attachment) Send(p *Packet) {
 	p.route = a.route
 	p.hop = 0
 	p.rev = false
-	h := a.route.Fwd[0]
-	a.net.Sch.AfterArg(a.FwdDelay+h.Delay, h.Link.enterFn, p)
+	a.fwd.Send(a.route.Fwd[0].Link.enterFn, p)
 }
 
 // SendAck schedules fn at the sender after the reverse path: a pure
@@ -257,8 +279,8 @@ func (a *Attachment) SendAck(fn func(now sim.Time)) {
 }
 
 // SendAckArg delivers fn(arg) across the flow's reverse path. On ideal
-// reverse routes the argument rides on a pooled scheduler event (the
-// paper's uncongested-ACK model, allocation-free). On routes with reverse
+// reverse routes the argument rides the reverse delay line (the paper's
+// uncongested-ACK model, allocation-free). On routes with reverse
 // hops, the ACK state rides through those links' queues as an AckSize
 // packet from the shared pool — queued, delayed, and possibly dropped
 // like any other traffic; a dropped ACK packet simply never invokes fn
@@ -266,7 +288,7 @@ func (a *Attachment) SendAck(fn func(now sim.Time)) {
 func (a *Attachment) SendAckArg(fn func(arg any), arg any) {
 	r := a.route
 	if len(r.Rev) == 0 {
-		a.net.Sch.AfterArg(a.RevDelay, fn, arg)
+		a.rev.Send(fn, arg)
 		return
 	}
 	p := a.net.GetPacket()
@@ -277,15 +299,14 @@ func (a *Attachment) SendAckArg(fn func(arg any), arg any) {
 	p.rev = true
 	p.ackFn = fn
 	p.ackArg = arg
-	h := r.Rev[0]
-	a.net.Sch.AfterArg(a.RevDelay+h.Delay, h.Link.enterFn, p)
+	a.rev.Send(r.Rev[0].Link.enterFn, p)
 }
 
 // advance is every link's delivery callback: it moves the packet to its
 // route's next hop, or completes the traversal — data packets are
 // delivered to the flow's receiver, ACK packets invoke their callback at
-// the sender. Inter-hop forwarding uses the link's prebound entry
-// callback on a pooled AfterArg event, so multi-hop paths cost zero
+// the sender. Inter-hop forwarding sends the link's prebound entry
+// callback down the hop's delay line, so multi-hop paths cost zero
 // allocations per packet like the single-bottleneck fast path.
 func (t *Topology) advance(p *Packet, now sim.Time) {
 	if r := p.route; r != nil {
@@ -295,8 +316,8 @@ func (t *Topology) advance(p *Packet, now sim.Time) {
 		}
 		if n := int(p.hop) + 1; n < len(hops) {
 			p.hop = int16(n)
-			h := hops[n]
-			t.Sch.AfterArg(h.Delay, h.Link.enterFn, p)
+			h := &hops[n]
+			h.line.Send(h.Link.enterFn, p)
 			return
 		}
 	}

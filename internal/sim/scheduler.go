@@ -9,8 +9,11 @@ package sim
 // Rearm. Events scheduled through AtFunc/AfterFunc/AfterArg return no
 // handle; their Timer structs are pooled and reused by the scheduler, which
 // makes them allocation-free in steady state — that is the right API for
-// high-frequency fire-and-forget events (per-packet transmissions,
-// propagation delays, ACK deliveries).
+// high-frequency fire-and-forget events whose delay varies from event to
+// event (link transmission completions, cross-traffic arrivals, periodic
+// ticks). Events crossing a constant delay — packet and ACK propagation —
+// belong on a Line instead, which queues one timer per channel rather than
+// one per event.
 type Timer struct {
 	at        Time
 	seq       uint64
@@ -34,7 +37,7 @@ func (t *Timer) Cancel() {
 	}
 	t.cancelled = true
 	if t.idx >= 0 && t.sch != nil {
-		t.sch.qremove(t)
+		t.sch.events.remove(t)
 		t.sch.release(t)
 	}
 }
@@ -173,7 +176,7 @@ func (h *eventHeap) remove(t *Timer) {
 type Scheduler struct {
 	now     Time
 	events  eventHeap
-	wheel   *timerWheel // non-nil after UseTimerWheel; replaces events
+	lines   map[Time]*Line // shared delay lines, by delay (see Line)
 	seq     uint64
 	stopped bool
 	free    []*Timer
@@ -205,7 +208,7 @@ func (s *Scheduler) schedule(t Time, fn func(), afn func(any), arg any, pooled b
 	} else {
 		ev = &Timer{at: t, seq: s.seq, fn: fn, afn: afn, arg: arg, sch: s, pooled: pooled}
 	}
-	s.qpush(ev)
+	s.events.push(ev)
 	return ev
 }
 
@@ -260,7 +263,7 @@ func (s *Scheduler) Rearm(tm *Timer, t Time, fn func()) *Timer {
 	}
 	s.seq++
 	*tm = Timer{at: t, seq: s.seq, fn: fn, sch: s}
-	s.qpush(tm)
+	s.events.push(tm)
 	return tm
 }
 
@@ -289,9 +292,11 @@ func (s *Scheduler) AfterArg(d Time, fn func(arg any), arg any) {
 	s.schedule(s.now+d, nil, fn, arg, true)
 }
 
-// Pending returns the number of events currently queued. Cancelled events
-// are removed at Cancel time, so they are never counted.
-func (s *Scheduler) Pending() int { return s.qlen() }
+// Pending returns the number of timers currently queued. Cancelled events
+// are removed at Cancel time, so they are never counted. A delay line
+// holding events counts once, however many events it carries: Pending
+// counts channels, not in-flight packets.
+func (s *Scheduler) Pending() int { return len(s.events) }
 
 // FreeTimers returns the current size of the timer free list (tests).
 func (s *Scheduler) FreeTimers() int { return len(s.free) }
@@ -304,7 +309,7 @@ func (s *Scheduler) Stop() { s.stopped = true }
 // queue (releasing pooled ones) immediately, so Run and RunUntil share
 // this single drain-free pop path.
 func (s *Scheduler) step() bool {
-	ev := s.qpop()
+	ev := s.events.pop()
 	if ev == nil {
 		return false
 	}
@@ -328,8 +333,7 @@ func (s *Scheduler) Run() {
 func (s *Scheduler) RunUntil(end Time) {
 	s.stopped = false
 	for !s.stopped {
-		head := s.qpeek()
-		if head == nil || head.at > end {
+		if len(s.events) == 0 || s.events[0].at > end {
 			break
 		}
 		s.step()

@@ -362,8 +362,7 @@ func TestSchedulerHeapMatchesReference(t *testing.T) {
 // BenchmarkSchedulerPooledChurn measures the event queue under the
 // simulator's real mix: pooled fire-and-forget events plus a rearmed
 // cancellable timer, all allocation-free in steady state. (The 10k-timer
-// heap-vs-wheel comparison lives in BenchmarkSchedulerChurn in
-// wheel_test.go.)
+// churn load is BenchmarkSchedulerChurn.)
 func BenchmarkSchedulerPooledChurn(b *testing.B) {
 	s := NewScheduler()
 	noop := func() {}
@@ -384,6 +383,48 @@ func BenchmarkSchedulerPooledChurn(b *testing.B) {
 		tm = s.Rearm(tm, s.Now()+4*Microsecond, noop) // ...and again (removal path)
 		s.Run()
 	}
+}
+
+// churnPopulation arms n self-rearming timers with a precomputed gap
+// table: 90% pace-like gaps (10µs–1ms), 10% RTO-like (100–300ms). Every
+// closure is built up front so the steady state allocates nothing.
+func churnPopulation(s *Scheduler, n int) {
+	rng := NewRand(7)
+	gaps := make([]Time, 4096)
+	for i := range gaps {
+		if i%10 == 0 {
+			gaps[i] = Time(100+rng.Intn(200)) * Millisecond
+		} else {
+			gaps[i] = Time(10+rng.Intn(990)) * Microsecond
+		}
+	}
+	timers := make([]*Timer, n)
+	gi := 0
+	for i := 0; i < n; i++ {
+		i := i
+		var fire func()
+		fire = func() {
+			gi++
+			timers[i] = s.Rearm(timers[i], s.Now()+gaps[gi&4095], fire)
+		}
+		timers[i] = s.Rearm(nil, Time(i)*Microsecond, fire)
+	}
+}
+
+// BenchmarkSchedulerChurn measures the event queue under 10k concurrent
+// self-rearming timers — the pace/RTO load of a 10k-flow churn scenario.
+// One op is one event (pop + rearm push).
+func BenchmarkSchedulerChurn(b *testing.B) {
+	b.Run("heap-10k", func(b *testing.B) {
+		s := NewScheduler()
+		churnPopulation(s, 10000)
+		s.RunUntil(3 * Second)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.step()
+		}
+	})
 }
 
 func TestSchedulerChurnAllocFree(t *testing.T) {

@@ -64,7 +64,11 @@ type JobStatus struct {
 // Job is one submitted sweep: its expanded scenarios, per-cell progress,
 // the growing event log, and — once done — results in submission order.
 type Job struct {
-	id     string
+	id    string
+	total int
+	// scs are the expanded scenarios the job runs; finish drops them,
+	// since every result row carries its scenario and the job table
+	// keeps finished jobs for the daemon's lifetime.
 	scs    []runner.Scenario
 	cancel context.CancelFunc
 	start  time.Time
@@ -87,7 +91,7 @@ type Job struct {
 }
 
 func newJob(id string, scs []runner.Scenario, cancel context.CancelFunc) *Job {
-	j := &Job{id: id, scs: scs, cancel: cancel, start: time.Now(), state: JobRunning}
+	j := &Job{id: id, total: len(scs), scs: scs, cancel: cancel, start: time.Now(), state: JobRunning}
 	j.cells.Pending = len(scs)
 	j.cond = sync.NewCond(&j.mu)
 	return j
@@ -102,7 +106,7 @@ func (j *Job) Status() JobStatus {
 		elapsed = time.Since(j.start)
 	}
 	return JobStatus{
-		ID: j.id, State: j.state, Total: len(j.scs), Done: j.done,
+		ID: j.id, State: j.state, Total: j.total, Done: j.done,
 		Cells: j.cells, Events: j.events, ElapsedSec: elapsed.Seconds(),
 	}
 }
@@ -149,6 +153,7 @@ func (j *Job) finish(state JobState, rs []runner.Result) {
 	j.mu.Lock()
 	j.state = state
 	j.results = rs
+	j.scs = nil
 	j.elapsed = time.Since(j.start)
 	j.cond.Broadcast()
 	j.mu.Unlock()

@@ -6,6 +6,9 @@
 #   - Every CLI flag defined in cmd/*/main.go must be mentioned (as
 #     "-flagname") in README.md or docs/*.md. A new flag lands with its
 #     documentation or the build fails.
+#   - Conversely, every flag-table row in README.md or docs/*.md (a line
+#     starting with "| `-name`") must name a flag some cmd/*/main.go
+#     defines, so a removed flag cannot linger in a table.
 #   - Every experiment family in exp.Families (internal/exp/registry.go)
 #     must have a "## family" section in docs/experiments.md.
 #   - Every HTTP route the service daemon registers (internal/svc/server.go)
@@ -42,6 +45,18 @@ for f in $flags; do
 done
 n=$(echo "$flags" | wc -l)
 echo "check_docs: $n CLI flags checked against $docs"
+
+# --- every flag-table row names a defined flag -----------------------
+
+rows=$(grep -hoE '^\| `-[a-z0-9-]+`' $docs | sed -E 's/^\| `-([a-z0-9-]+)`/\1/' || true)
+for f in $rows; do
+    if ! grep -qxF -- "$f" <<< "$flags"; then
+        echo "check_docs: FAIL — flag table row -$f (README.md or docs/) names no flag defined in cmd/*/main.go" >&2
+        fail=1
+    fi
+done
+n=$(echo "$rows" | grep -c . || true)
+echo "check_docs: $n flag-table rows checked against cmd/*/main.go"
 
 # --- every experiment family has a docs section ----------------------
 
