@@ -148,22 +148,6 @@ func BenchmarkTopologyThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorThroughputBurst is BenchmarkSimulatorThroughput with
-// burst link forwarding on (budget 16): the same Cubic flow, but the
-// bottleneck retires queued back-to-back packets with one completion
-// event each. Compare against the ungated baseline for the event-count
-// win; the flag changes event timing, not counters (see netem.SetBurst).
-func BenchmarkSimulatorThroughputBurst(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := exp.NewRig(exp.NetConfig{RateMbps: 96, RTT: 50 * sim.Millisecond, Buffer: 100 * sim.Millisecond, Seed: int64(i), LinkBurst: 16})
-		s := exp.MustScheme("cubic", r.MuBps)
-		r.AddFlow(s, 50*sim.Millisecond, 0)
-		r.Sch.RunUntil(10 * sim.Second)
-		b.ReportMetric(float64(r.Link.DeliveredPackets)/float64(b.N), "pkts/op")
-	}
-}
-
 // BenchmarkNimbusFlow measures the full Nimbus stack (detector, pulses,
 // FFT every 10 ms) in simulation.
 func BenchmarkNimbusFlow(b *testing.B) {
@@ -171,19 +155,6 @@ func BenchmarkNimbusFlow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := exp.NewRig(exp.NetConfig{RateMbps: 96, RTT: 50 * sim.Millisecond, Buffer: 100 * sim.Millisecond, Seed: int64(i)})
 		s := exp.MustScheme("nimbus", r.MuBps)
-		r.AddFlow(s, 50*sim.Millisecond, 0)
-		r.Sch.RunUntil(10 * sim.Second)
-	}
-}
-
-// BenchmarkNimbusFlowRFFT is BenchmarkNimbusFlow with the packed
-// real-input FFT detector path (nimbus(rfft)): the FFT-heavy cell the
-// rFFT optimization targets.
-func BenchmarkNimbusFlowRFFT(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := exp.NewRig(exp.NetConfig{RateMbps: 96, RTT: 50 * sim.Millisecond, Buffer: 100 * sim.Millisecond, Seed: int64(i)})
-		s := exp.MustScheme("nimbus(rfft)", r.MuBps)
 		r.AddFlow(s, 50*sim.Millisecond, 0)
 		r.Sch.RunUntil(10 * sim.Second)
 	}

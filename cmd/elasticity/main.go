@@ -63,7 +63,6 @@ func main() {
 		interval = flag.Duration("interval", 10*time.Millisecond, "sample interval of the input series")
 		window   = flag.Duration("window", 5*time.Second, "FFT window")
 		thresh   = flag.Float64("threshold", 2, "elasticity threshold")
-		rfft     = flag.Bool("rfft", false, "analyze with the packed real-input FFT (faster; matches the default spectra to ~1e-12)")
 		workers  = flag.Int("workers", 0, "parallel analyses (0 = all cores)")
 		trace    = flag.String("link-trace", "", "analyze a capacity trace (embedded name or time_ms,mbps file) instead of stdin")
 		topo     = flag.String("topology", "", "analyze a topology spec's bottleneck-link capacity signal instead of stdin (the bottleneck needs an absolute rate)")
@@ -86,7 +85,6 @@ func main() {
 		SampleInterval: sim.FromDuration(*interval),
 		FFTDuration:    sim.FromDuration(*window),
 		Threshold:      *thresh,
-		RFFT:           *rfft,
 	}
 
 	sources := 0

@@ -68,7 +68,6 @@ func realMain() int {
 		listTopologies  = flag.Bool("list-topologies", false, "list registered topology presets and exit")
 		run             = flag.String("run", "", "experiment id to run (or \"all\")")
 		topo            = flag.String("topology", "", "topology(ies) for the -benchmark sweep: preset names or chain specs, comma-separated (default: the single bottleneck)")
-		burst           = flag.Int("burst", 0, "burst link forwarding budget for the -benchmark sweep (0/1 = off; burst cells get their own scenario keys)")
 		churn           = flag.String("churn", "", "churn workload(s) for the -benchmark sweep: workload specs like bulk(load=24), comma-separated (default: no session churn)")
 		fluid           = flag.String("fluid", "", "fluid cross-traffic spec(s) for the -benchmark sweep: off, on, or dt=5ms, comma-separated — run the cross aggregate as a rate process instead of packets (fluid cells get their own scenario keys)")
 		seed            = flag.Int64("seed", 1, "simulation seed")
@@ -117,7 +116,7 @@ func realMain() int {
 	case *gridFile != "":
 		return runGridFile(*gridFile, *remote, *workers, *outFile)
 	case *bench:
-		return runBenchmark(*seed, *workers, *benchOut, *topo, *burst, *churn, *fluid, *remote)
+		return runBenchmark(*seed, *workers, *benchOut, *topo, *churn, *fluid, *remote)
 	case *run == "":
 		flag.Usage()
 		return 2
@@ -146,11 +145,10 @@ func realMain() int {
 // default keeps the historical single-bottleneck grid). -churn swaps the
 // cross-traffic axis for session-workload cells, benchmarking the
 // scheduler under dense per-flow timer churn.
-func benchGrid(seed int64, topos, churns []string, burst int, fluids []string) runner.Grid {
+func benchGrid(seed int64, topos, churns, fluids []string) runner.Grid {
 	g := runner.Grid{
 		Base: runner.Scenario{
 			RTTms: 50, BufferMs: 100, DurationSec: 30, Seed: seed,
-			LinkBurst: burst,
 		},
 		RatesMbps:  []float64{96, 192},
 		Schemes:    scheme.Specs("nimbus", "cubic", "bbr", "copa"),
@@ -280,7 +278,7 @@ func writeResults(out string, rs []runner.Result) int {
 	return 0
 }
 
-func runBenchmark(seed int64, workers int, out, topo string, burst int, churn, fluid, remote string) int {
+func runBenchmark(seed int64, workers int, out, topo, churn, fluid, remote string) int {
 	var topos []string
 	for _, it := range scheme.SplitList(topo) {
 		c, err := netem.CanonicalTopology(it)
@@ -299,10 +297,6 @@ func runBenchmark(seed int64, workers int, out, topo string, burst int, churn, f
 		}
 		churns = append(churns, wsp.String())
 	}
-	if burst < 0 || burst > netem.MaxBurst {
-		fmt.Fprintf(os.Stderr, "-burst: budget %d out of range 0..%d\n", burst, netem.MaxBurst)
-		return 2
-	}
 	var fluids []string
 	for _, it := range scheme.SplitList(fluid) {
 		fs, err := crosstraffic.ParseFluidSpec(it)
@@ -312,7 +306,7 @@ func runBenchmark(seed int64, workers int, out, topo string, burst int, churn, f
 		}
 		fluids = append(fluids, fs.String())
 	}
-	g := benchGrid(seed, topos, churns, burst, fluids)
+	g := benchGrid(seed, topos, churns, fluids)
 	if remote != "" {
 		return runRemote(remote, g, workers, out)
 	}

@@ -74,7 +74,6 @@ func realMain() int {
 		trace   = flag.String("link-trace", "", "time-varying link capacity trace(s): embedded names (see -list-traces) or time_ms,mbps files; comma-separated")
 		pattern = flag.String("rate-pattern", "", "time-varying link pattern(s): step:LO:HI:PERIODms, ramp:MIN:MAX:PERIODms, outage:ATms:DURms, constant; comma-separated")
 		topo    = flag.String("topology", "", "path topology(ies): preset names (see -list-topologies) or chain specs like access(x4,5ms)->bn; comma-separated")
-		burst   = flag.Int("burst", 0, "burst link forwarding budget: retire up to N packets per completion event on constant-rate drop-tail links (0/1 = off; changes event timing, not counters)")
 		cross   = flag.String("cross", "none", "cross traffic: none, cubic, reno, poisson, cbr, trace, video4k, video1080p")
 		crossMb = flag.Float64("cross-rate", 48, "cross traffic rate for poisson/cbr/trace, Mbit/s")
 		fluid   = flag.String("fluid", "", "fluid cross-traffic spec(s): off, on, or dt=5ms, comma-separated for sweeps — simulate the cross aggregate as a rate process instead of packets (cbr/poisson/cubic/reno kinds only; approximate, so fluid cells get their own scenario keys)")
@@ -124,14 +123,10 @@ func realMain() int {
 		}()
 	}
 
-	if *burst < 0 || *burst > netem.MaxBurst {
-		fatalf("-burst: budget %d out of range 0..%d", *burst, netem.MaxBurst)
-	}
 	grid := runner.Grid{
 		Base: runner.Scenario{
 			CrossRateMbps: *crossMb,
 			DurationSec:   sim.FromDuration(*dur).Seconds(),
-			LinkBurst:     *burst,
 		},
 		RatesMbps:    parseFloats(*rate, "-rate"),
 		LinkTraces:   splitStrings(*trace),

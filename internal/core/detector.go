@@ -16,13 +16,6 @@ type DetectorConfig struct {
 	// Threshold is ηthresh; cross traffic with η >= Threshold is
 	// classified elastic (2, chosen in Fig. 6).
 	Threshold float64
-	// RFFT selects the packed real-input FFT (fft.RealPlan: one
-	// half-length complex transform plus an unpack pass) for the cached
-	// spectrum. It roughly halves per-window transform cost but reaches
-	// each bin through differently-ordered floating-point operations, so
-	// spectra agree with the default path only to rounding error
-	// (~1e-12 relative) — off by default to preserve bit-identical runs.
-	RFFT bool
 }
 
 // DefaultDetectorConfig returns the paper's parameters: 10 ms samples,
@@ -52,8 +45,7 @@ type Detector struct {
 	ring *stats.Ring
 	buf  []float64
 
-	plan  *fft.Plan
-	rplan *fft.RealPlan // non-nil iff cfg.RFFT: packed real-input path
+	plan *fft.Plan
 	// Cached per-generation spectrum. spec.Mag is owned by the detector
 	// and overwritten at the first read after the next AddSample; callers
 	// must not retain it across samples.
@@ -81,15 +73,11 @@ func NewDetector(cfg DetectorConfig) *Detector {
 	if n < 8 {
 		n = 8
 	}
-	d := &Detector{
+	return &Detector{
 		cfg:  cfg,
 		ring: stats.NewRing(n),
 		plan: fft.NewPlan(n, 1/cfg.SampleInterval.Seconds()),
 	}
-	if cfg.RFFT {
-		d.rplan = fft.NewRealPlan(n, 1/cfg.SampleInterval.Seconds())
-	}
-	return d
 }
 
 // Config returns the detector's configuration.
@@ -131,11 +119,7 @@ func (d *Detector) Mean() float64 {
 func (d *Detector) Spectrum() fft.Spectrum {
 	if !d.haveSpec || d.specGen != d.gen {
 		d.buf = d.ring.Snapshot(d.buf)
-		if d.rplan != nil {
-			d.spec, d.specMean = d.rplan.AnalyzeMeanInto(d.spec, d.buf)
-		} else {
-			d.spec, d.specMean = d.plan.AnalyzeMeanInto(d.spec, d.buf)
-		}
+		d.spec, d.specMean = d.plan.AnalyzeMeanInto(d.spec, d.buf)
 		d.specGen = d.gen
 		d.haveSpec = true
 	}

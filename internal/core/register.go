@@ -27,8 +27,6 @@ func nimbusParams() []scheme.Param {
 			Doc:  "µ source: the true link rate, or the BBR-style max-receive-rate estimator"},
 		{Name: "multiflow", Kind: scheme.KindBool, Default: scheme.Flag(false),
 			Doc: "enable the pulser/watcher multi-flow protocol (§6)"},
-		{Name: "rfft", Kind: scheme.KindBool, Default: scheme.Flag(false),
-			Doc: "use the packed real-input FFT for the detector (faster; spectra match the default path to ~1e-12, not bit-exact)"},
 	}
 }
 
@@ -72,7 +70,6 @@ func registerNimbus(name, doc string, delay, comp func() WindowCC, pinned bool, 
 			Pinned:        pinned,
 			StartMode:     startMode,
 		}
-		cfg.Detector.RFFT = a.Bool("rfft")
 		if comp != nil {
 			cfg.Competitive = comp()
 		} else {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"nimbus/internal/core"
 	"nimbus/internal/runner"
 	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
@@ -89,16 +88,7 @@ func RunChurnScenario(sc runner.Scenario) runner.Result {
 	m["churn_fct_p95_ms"] = sm.FCTP95Ms
 	m["churn_jain"] = sm.Jain
 	m["churn_elastic_frac"] = sm.ElasticFrac
-	if scheme.Nimbus != nil {
-		m["mode_switches"] = float64(scheme.Nimbus.ModeSwitches)
-		m["eta"] = scheme.Nimbus.LastEta()
-		mode := 0.0
-		if scheme.Nimbus.Mode() == core.ModeCompetitive {
-			mode = 1
-		}
-		m["competitive_mode"] = mode
-		m["mode_accuracy"] = mt.Acc.Accuracy()
-	}
+	addModeMetrics(m, scheme.Nimbus, &mt)
 	dropNonFinite(m)
 	return runner.Result{Scenario: sc, Metrics: m, Events: r.Sch.Executed}
 }

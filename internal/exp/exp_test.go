@@ -91,7 +91,11 @@ func TestMustSchemeUnknownPanics(t *testing.T) {
 }
 
 func TestBuildSchemeRejectsBadParams(t *testing.T) {
-	for _, s := range []string{"cubic(pulse=0.1)", "nimbus(mu=maybe)", "nimbus(pulse=zero)", "copa(delta=-1)"} {
+	bad := []string{
+		"cubic(pulse=0.1)", "nimbus(mu=maybe)", "nimbus(pulse=zero)", "copa(delta=-1)",
+		"nimbus(rfft)", // a removed option must fail, not be ignored
+	}
+	for _, s := range bad {
 		sp, err := spec.Parse(s)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", s, err)
@@ -303,29 +307,5 @@ func TestFormattersNonEmpty(t *testing.T) {
 	}
 	if s := FormatFig14(Fig14Result{}); !strings.Contains(s, "Fig 14") {
 		t.Fatal("fig14 format")
-	}
-}
-
-// TestRigLinkBurstWiring: the scenario-level LinkBurst default applies
-// to every link of the rig, and a per-link burst= spec parameter wins
-// over it.
-func TestRigLinkBurstWiring(t *testing.T) {
-	cfg := NetConfig{RateMbps: 96, RTT: 50 * sim.Millisecond, Buffer: 100 * sim.Millisecond, Seed: 1, LinkBurst: 16}
-	if got := NewRig(cfg).Link.BurstBudget(); got != 16 {
-		t.Fatalf("single-bottleneck budget = %d, want 16", got)
-	}
-	cfg.Topology = "access(100mbps,5ms)->bn(burst=8)"
-	links := NewRig(cfg).Net.Links()
-	if len(links) != 2 {
-		t.Fatalf("links: %d", len(links))
-	}
-	for _, l := range links {
-		want := 16 // the scenario default...
-		if l.Name == "bn" {
-			want = 8 // ...unless the link spec pins its own budget
-		}
-		if l.BurstBudget() != want {
-			t.Errorf("link %s budget = %d, want %d", l.Name, l.BurstBudget(), want)
-		}
 	}
 }

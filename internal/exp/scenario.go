@@ -35,7 +35,6 @@ func NetConfigFor(sc runner.Scenario) NetConfig {
 		PIETarget: sim.FromSeconds(sc.PIETargetMs / 1e3),
 		Seed:      sc.EffectiveSeed(),
 		Topology:  sc.Topology,
-		LinkBurst: sc.LinkBurst,
 		Fluid:     sc.FluidCross,
 	}
 }
@@ -63,39 +62,60 @@ func ScheduleForScenario(sc runner.Scenario) (*netem.RateSchedule, error) {
 // with a probe, and the scenario's cross traffic. The caller may attach
 // extra instrumentation before running the rig to sc.DurationSec.
 func RigForScenario(sc runner.Scenario) (*Rig, Scheme, *FlowProbe, error) {
+	var scheme Scheme
+	var probe *FlowProbe
+	r, err := buildScenarioRig(sc, func(r *Rig) error {
+		var mu core.MuEstimator
+		if r.Link.Varying() {
+			mu = LinkOracle{Link: r.Link}
+		}
+		var err error
+		scheme, err = BuildScheme(sc.Scheme, r.MuBps, mu)
+		if err != nil {
+			return err
+		}
+		probe = r.AddFlow(scheme, sim.FromSeconds(sc.RTTms/1e3), 0)
+		return nil
+	})
+	if err != nil {
+		return nil, Scheme{}, nil, err
+	}
+	return r, scheme, probe, nil
+}
+
+// buildScenarioRig is the prelude every scenario runner shares. It
+// resolves the scenario's link and rate schedule, validates the topology
+// and fluid specs up front (so a malformed spec is a scenario error, not
+// a panic out of NewRig), and builds the rig. addFlows then attaches the
+// flows under test, and the scenario's cross traffic goes on last at
+// CrossRTTms (default: the scenario RTT). That order is part of the
+// results: flows split the rig's random streams before the cross
+// traffic does.
+func buildScenarioRig(sc runner.Scenario, addFlows func(r *Rig) error) (*Rig, error) {
 	cfg := NetConfigFor(sc)
 	sched, err := ScheduleForScenario(sc)
 	if err != nil {
-		return nil, Scheme{}, nil, err
+		return nil, err
 	}
 	cfg.Schedule = sched
-	// Validate the topology and fluid specs up front so a malformed spec
-	// is a scenario error, not a panic out of NewRig.
 	if _, err := netem.ParseTopology(sc.Topology); err != nil {
-		return nil, Scheme{}, nil, err
+		return nil, err
 	}
 	if _, err := crosstraffic.ParseFluidSpec(sc.FluidCross); err != nil {
-		return nil, Scheme{}, nil, err
+		return nil, err
 	}
 	r := NewRig(cfg)
-	var mu core.MuEstimator
-	if r.Link.Varying() {
-		mu = LinkOracle{Link: r.Link}
+	if err := addFlows(r); err != nil {
+		return nil, err
 	}
-	scheme, err := BuildScheme(sc.Scheme, r.MuBps, mu)
-	if err != nil {
-		return nil, Scheme{}, nil, err
-	}
-	rtt := sim.FromSeconds(sc.RTTms / 1e3)
-	probe := r.AddFlow(scheme, rtt, 0)
-	crossRTT := rtt
+	crossRTT := sim.FromSeconds(sc.RTTms / 1e3)
 	if sc.CrossRTTms > 0 {
 		crossRTT = sim.FromSeconds(sc.CrossRTTms / 1e3)
 	}
 	if err := AddCross(r, sc.Cross, sc.CrossRateMbps*1e6, crossRTT); err != nil {
-		return nil, Scheme{}, nil, err
+		return nil, err
 	}
-	return r, scheme, probe, nil
+	return r, nil
 }
 
 // CrossElastic reports whether a cross-traffic kind backs off under
@@ -135,17 +155,8 @@ func RunScenario(sc runner.Scenario) runner.Result {
 
 	m := linkMetrics(r, probe.MeanMbps(0, end))
 	addQdelayMetrics(m, probe.Delay)
+	addModeMetrics(m, scheme.Nimbus, &mt)
 	dropNonFinite(m)
-	if scheme.Nimbus != nil {
-		m["mode_switches"] = float64(scheme.Nimbus.ModeSwitches)
-		m["eta"] = scheme.Nimbus.LastEta()
-		mode := 0.0
-		if scheme.Nimbus.Mode() == core.ModeCompetitive {
-			mode = 1
-		}
-		m["competitive_mode"] = mode
-		m["mode_accuracy"] = mt.Acc.Accuracy()
-	}
 	return runner.Result{Scenario: sc, Metrics: m, Events: r.Sch.Executed}
 }
 
@@ -163,40 +174,28 @@ func RunFlowMixScenario(sc runner.Scenario) runner.Result {
 	if err != nil {
 		return fail(err)
 	}
-	cfg := NetConfigFor(sc)
-	sched, err := ScheduleForScenario(sc)
+	var flows []*Flow
+	var sharedDelay *metrics.DelayRecorder
+	r, err := buildScenarioRig(sc, func(r *Rig) error {
+		var err error
+		flows, err = r.AddFlowSpecs(specs...)
+		if err != nil {
+			return err
+		}
+		// Aggregate queueing delay comes from one shared recorder fed by
+		// every flow's deliveries: per-flow recorders are reservoirs over
+		// their own flow, so concatenating their samples would weight
+		// flows equally once a busy flow hits the reservoir cap, instead
+		// of by packets actually delivered.
+		sharedDelay = metrics.NewDelayRecorder(0, r.Rng.Split("mix-dlyrec"))
+		for _, f := range flows {
+			addDeliverTap(f.Probe.Sender, func(p *netem.Packet, now sim.Time) {
+				sharedDelay.Add(p.QueueDelay)
+			})
+		}
+		return nil
+	})
 	if err != nil {
-		return fail(err)
-	}
-	cfg.Schedule = sched
-	if _, err := netem.ParseTopology(sc.Topology); err != nil {
-		return fail(err)
-	}
-	if _, err := crosstraffic.ParseFluidSpec(sc.FluidCross); err != nil {
-		return fail(err)
-	}
-	r := NewRig(cfg)
-	flows, err := r.AddFlowSpecs(specs...)
-	if err != nil {
-		return fail(err)
-	}
-	// Aggregate queueing delay comes from one shared recorder fed by
-	// every flow's deliveries: per-flow recorders are reservoirs over
-	// their own flow, so concatenating their samples would weight flows
-	// equally once a busy flow hits the reservoir cap, instead of by
-	// packets actually delivered.
-	sharedDelay := metrics.NewDelayRecorder(0, r.Rng.Split("mix-dlyrec"))
-	for _, f := range flows {
-		addDeliverTap(f.Probe.Sender, func(p *netem.Packet, now sim.Time) {
-			sharedDelay.Add(p.QueueDelay)
-		})
-	}
-	rtt := sim.FromSeconds(sc.RTTms / 1e3)
-	crossRTT := rtt
-	if sc.CrossRTTms > 0 {
-		crossRTT = sim.FromSeconds(sc.CrossRTTms / 1e3)
-	}
-	if err := AddCross(r, sc.Cross, sc.CrossRateMbps*1e6, crossRTT); err != nil {
 		return fail(err)
 	}
 	end := sim.FromSeconds(sc.DurationSec)
@@ -239,6 +238,24 @@ func linkMetrics(r *Rig, meanMbps float64) map[string]float64 {
 	}
 	hopMetrics(m, r)
 	return m
+}
+
+// addModeMetrics records a Nimbus flow's mode telemetry: mode switches,
+// the last η, whether it ended in competitive mode, and its
+// time-weighted mode accuracy against mt's ground truth. Non-Nimbus
+// schemes (n == nil) record nothing.
+func addModeMetrics(m map[string]float64, n *core.Nimbus, mt *ModeTracker) {
+	if n == nil {
+		return
+	}
+	m["mode_switches"] = float64(n.ModeSwitches)
+	m["eta"] = n.LastEta()
+	mode := 0.0
+	if n.Mode() == core.ModeCompetitive {
+		mode = 1
+	}
+	m["competitive_mode"] = mode
+	m["mode_accuracy"] = mt.Acc.Accuracy()
 }
 
 // addQdelayMetrics records a delay recorder's mean/p50/p95 summary.

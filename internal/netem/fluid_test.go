@@ -7,19 +7,82 @@ import (
 	"nimbus/internal/sim"
 )
 
-// runFluidScenario drives the burst_test.go arrival pattern through a
-// 12 Mbit/s link, letting the caller configure the link (enable fluid,
-// add rate) before traffic starts. Reuses delivery/burstRun/
-// requireSameRun so fluid equivalence failures report the first
-// diverging observable.
-func runFluidScenario(t *testing.T, mkQueue func() Queue, configure func(l *Link)) burstRun {
+// delivery is one observed packet completion: who, when, and how long it
+// queued. The equivalence tests compare full delivery sequences, so any
+// divergence in ordering, timing, or delay accounting fails loudly.
+type delivery struct {
+	seq uint64
+	at  sim.Time
+	qd  sim.Time
+}
+
+// linkRun holds everything a link scenario run produces that an
+// equivalent configuration must not change.
+type linkRun struct {
+	dels     []delivery
+	drops    []uint64
+	executed uint64
+
+	delivered uint64
+	bytes     uint64
+	dropped   uint64
+	meanQD    sim.Time
+	util      float64
+	queued    int
+}
+
+// requireSameRun asserts that two runs are observably identical: same
+// delivery sequence (identity, completion time, queueing delay), same
+// drops, and same counters.
+func requireSameRun(t *testing.T, want, got linkRun) {
+	t.Helper()
+	if len(got.dels) != len(want.dels) {
+		t.Fatalf("delivered %d packets, want %d", len(got.dels), len(want.dels))
+	}
+	for i := range want.dels {
+		if got.dels[i] != want.dels[i] {
+			t.Fatalf("delivery %d = %+v, want %+v", i, got.dels[i], want.dels[i])
+		}
+	}
+	if len(got.drops) != len(want.drops) {
+		t.Fatalf("dropped %d packets, want %d", len(got.drops), len(want.drops))
+	}
+	for i := range want.drops {
+		if got.drops[i] != want.drops[i] {
+			t.Fatalf("drop %d = seq %d, want seq %d", i, got.drops[i], want.drops[i])
+		}
+	}
+	if got.delivered != want.delivered || got.bytes != want.bytes || got.dropped != want.dropped {
+		t.Fatalf("counters delivered=%d bytes=%d dropped=%d, want %d/%d/%d",
+			got.delivered, got.bytes, got.dropped, want.delivered, want.bytes, want.dropped)
+	}
+	if got.meanQD != want.meanQD {
+		t.Fatalf("MeanQueueDelay = %v, want %v", got.meanQD, want.meanQD)
+	}
+	if got.util != want.util {
+		t.Fatalf("Utilization = %v, want %v", got.util, want.util)
+	}
+	if got.queued != want.queued {
+		t.Fatalf("BytesQueued = %d, want %d", got.queued, want.queued)
+	}
+}
+
+// runFluidScenario drives a deterministic arrival pattern through a
+// 12 Mbit/s link (1500 B = 1 ms serialization) with the caller's queue:
+// an opening flood that overflows a 6000 B buffer, a sustained phase
+// whose 0.73 ms inter-arrivals interleave with the 1 ms service times, a
+// second flood after an idle gap, and a tail of short 500 B packets that
+// vary the per-packet serialization time. configure sets up the link
+// (enable fluid, add rate) before traffic starts; equivalence failures
+// report the first diverging observable (requireSameRun).
+func runFluidScenario(t *testing.T, mkQueue func() Queue, configure func(l *Link)) linkRun {
 	t.Helper()
 	sch := sim.NewScheduler()
 	l := NewLink(sch, 12e6, mkQueue())
 	if configure != nil {
 		configure(l)
 	}
-	var r burstRun
+	var r linkRun
 	l.Deliver = func(p *Packet, now sim.Time) {
 		r.dels = append(r.dels, delivery{p.Seq, now, p.QueueDelay})
 	}
@@ -83,25 +146,6 @@ func TestFluidDisabledByteIdentical(t *testing.T) {
 			t.Fatalf("executed %d events with zero-rate fluid, %d without", got.executed, base.executed)
 		}
 	})
-}
-
-// TestFluidBurstMutuallyExclusive pins the restaging conflict guard:
-// enabling fluid tears down an armed burst queue, and SetBurst after
-// EnableFluid refuses to bind one.
-func TestFluidBurstMutuallyExclusive(t *testing.T) {
-	l := NewLink(sim.NewScheduler(), 12e6, NewDropTail(6000))
-	l.SetBurst(16)
-	if l.bq == nil {
-		t.Fatal("SetBurst did not bind a burst queue on a plain drop-tail link")
-	}
-	l.EnableFluid(6000)
-	if l.bq != nil {
-		t.Fatal("EnableFluid left the burst queue bound")
-	}
-	l.SetBurst(16)
-	if l.bq != nil {
-		t.Fatal("SetBurst bound a burst queue on a fluid link")
-	}
 }
 
 // fluidConservation asserts the integrator's bookkeeping identity:

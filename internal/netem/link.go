@@ -51,19 +51,6 @@ type Link struct {
 	// into the link with no per-packet closures.
 	enterFn func(arg any)
 
-	// Burst forwarding (SetBurst): a constant-rate link draining a
-	// burst-capable queue stages up to burstBudget back-to-back packets
-	// at their exact virtual start times and retires them all with one
-	// pooled completion event. bq is non-nil only while bursting is
-	// active; burstPkts/burstTx hold the staged packets and their
-	// serialization times, reused across bursts.
-	burstBudget int
-	bq          BurstQueue
-	burstFn     func()
-	burstStart  sim.Time
-	burstPkts   []*Packet
-	burstTx     []sim.Time
-
 	// Fluid cross-traffic term (EnableFluid, see fluid.go): an aggregate
 	// background load integrated analytically between rate changes
 	// instead of simulated per packet. fluidBacklog is the standing
@@ -162,10 +149,6 @@ func (l *Link) startNext() {
 	l.dequeues++
 	if !l.varying {
 		tx := l.TxTime(p.Size)
-		if l.bq != nil && l.Q.Len() > 0 {
-			l.startBurst(now, p, tx)
-			return
-		}
 		if l.fluidOn {
 			ftx, _ := l.flushFluidAhead(p)
 			tx += ftx
@@ -186,96 +169,6 @@ func (l *Link) startNext() {
 	}
 	l.txUpdated = now
 	l.armTx()
-}
-
-// MaxBurst caps the per-event packet budget of burst forwarding; beyond
-// ~64 packets the event-count savings flatten while staged state grows.
-const MaxBurst = 64
-
-// SetBurst enables burst forwarding with the given per-event packet
-// budget (values <= 1 disable it). It takes effect only on constant-rate
-// links draining a burst-capable queue (DropTail): time-varying links
-// must observe every rate transition per packet, and AQM disciplines
-// (CoDel, PIE) make drop decisions from the wall clock at dequeue or
-// enqueue time, so those keep the one-event-per-packet path and behave
-// identically whatever the budget. Configure before traffic starts.
-//
-// With bursting active, every staged packet keeps its exact per-packet
-// virtual start and completion times — queueing delay, busy time, and
-// delivered counters are identical to the per-packet path, and Deliver
-// receives the exact completion timestamp. What changes is when the
-// delivery callbacks execute: the whole burst retires when its last
-// packet completes, so downstream events (ACKs, next-hop entries) are
-// scheduled up to one burst window later than per-packet forwarding
-// would. And an arrival at exactly a staged packet's start instant sees
-// that packet's bytes already released, whereas the per-packet path
-// resolves such a tie by scheduler event order. Runs with bursting on
-// are therefore not byte-identical to runs with it off.
-func (l *Link) SetBurst(budget int) {
-	if budget > MaxBurst {
-		budget = MaxBurst
-	}
-	l.burstBudget = budget
-	l.bq = nil
-	if budget <= 1 || l.varying || l.fluidOn {
-		return
-	}
-	bq, ok := l.Q.(BurstQueue)
-	if !ok {
-		return
-	}
-	l.bq = bq
-	if l.burstFn == nil {
-		l.burstFn = l.finishBurst
-	}
-}
-
-// BurstBudget returns the configured burst budget (0 or 1 = disabled).
-func (l *Link) BurstBudget() int { return l.burstBudget }
-
-// startBurst stages the head packet p (already dequeued at now, with tx
-// its serialization time) plus up to budget-1 more packets at their
-// exact virtual start times, then schedules one pooled completion event
-// at the last packet's completion.
-func (l *Link) startBurst(now sim.Time, p *Packet, tx sim.Time) {
-	l.burstStart = now
-	l.burstPkts = append(l.burstPkts[:0], p)
-	l.burstTx = append(l.burstTx[:0], tx)
-	at := now + tx // completion of each staged packet = start of the next
-	for len(l.burstPkts) < l.burstBudget {
-		q := l.bq.DequeueAt(at)
-		if q == nil {
-			break
-		}
-		l.qdelaySum += at - q.EnqueuedAt
-		l.dequeues++
-		qtx := l.TxTime(q.Size)
-		l.burstPkts = append(l.burstPkts, q)
-		l.burstTx = append(l.burstTx, qtx)
-		at += qtx
-	}
-	l.Sch.AtFunc(at, l.burstFn)
-}
-
-// finishBurst retires the staged burst: each packet is delivered with its
-// exact per-packet completion time and accounted exactly as the
-// per-packet path would have.
-func (l *Link) finishBurst() {
-	t := l.burstStart
-	for i, p := range l.burstPkts {
-		tx := l.burstTx[i]
-		t += tx
-		l.busyTime += tx
-		l.DeliveredPackets++
-		l.DeliveredBytes += uint64(p.Size)
-		l.burstPkts[i] = nil
-		if l.Deliver != nil {
-			l.Deliver(p, t)
-		}
-	}
-	l.burstPkts = l.burstPkts[:0]
-	l.burstTx = l.burstTx[:0]
-	l.startNext()
 }
 
 // armTx schedules the in-flight packet's completion at the current rate.

@@ -280,3 +280,52 @@ func TestQueueDelayNow(t *testing.T) {
 		t.Fatalf("QueueDelayNow = %v", got)
 	}
 }
+
+// TestLinkPerPacketAllocFree: a saturated constant-rate link in steady
+// state schedules pooled completion events only and allocates nothing
+// per packet (the companion of BenchmarkLinkPerPacket's zero gate).
+func TestLinkPerPacketAllocFree(t *testing.T) {
+	sch := sim.NewScheduler()
+	l := NewLink(sch, 96e6, NewDropTail(1<<20))
+	l.Deliver = func(p *Packet, now sim.Time) { l.Send(p) }
+	for i := 0; i < 32; i++ {
+		l.Send(&Packet{Seq: uint64(i), Size: 1500})
+	}
+	end := 50 * sim.Millisecond
+	sch.RunUntil(end) // warm: queue ring and event pool at size
+	allocs := testing.AllocsPerRun(50, func() {
+		end += 10 * sim.Millisecond
+		sch.RunUntil(end)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state link forwarding allocates %v per run, want 0", allocs)
+	}
+}
+
+// benchLink measures the event-loop cost of a saturated constant-rate
+// link: 32 packets circulate (Deliver re-sends), and each benchmark op
+// advances the clock by 64 packet serialization times (1500 B at
+// 96 Mbit/s = 125 us each).
+func benchLink(b *testing.B) {
+	sch := sim.NewScheduler()
+	l := NewLink(sch, 96e6, NewDropTail(1<<20))
+	l.Deliver = func(p *Packet, now sim.Time) { l.Send(p) }
+	for i := 0; i < 32; i++ {
+		l.Send(&Packet{Seq: uint64(i), Size: 1500})
+	}
+	end := 10 * sim.Millisecond
+	sch.RunUntil(end)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		end += 64 * 125 * sim.Microsecond
+		sch.RunUntil(end)
+	}
+	if l.DeliveredPackets == 0 {
+		b.Fatal("no packets delivered")
+	}
+}
+
+// BenchmarkLinkPerPacket is the one-event-per-packet link path, gated in
+// scripts/check_bench.sh (zero allocs, wall-clock band).
+func BenchmarkLinkPerPacket(b *testing.B) { benchLink(b) }

@@ -17,22 +17,6 @@ type Queue interface {
 	DropCount() uint64
 }
 
-// BurstQueue is implemented by disciplines whose dequeues can be
-// committed ahead of wall time, which is what lets a link retire several
-// back-to-back packets with one completion event (Link.SetBurst).
-// DequeueAt removes the head packet as if it were dequeued at the future
-// virtual time at — the packet's recorded queueing delay uses at, and its
-// bytes keep counting toward admission occupancy until at — so enqueue
-// decisions made between the commit and the staged start are identical to
-// the per-packet path. Disciplines whose drop law depends on the dequeue
-// wall clock (CoDel) or on observing occupancy per enqueue (PIE)
-// deliberately do not implement it: bursting must never change a drop
-// decision.
-type BurstQueue interface {
-	Queue
-	DequeueAt(at sim.Time) *Packet
-}
-
 // FluidAware is implemented by disciplines that can count an external
 // byte occupancy — a link's fluid cross-traffic backlog (Link.EnableFluid)
 // — in their admission decision, so foreground packets see the same drop
@@ -102,23 +86,9 @@ type DropTail struct {
 	Capacity int // bytes
 	q        fifo
 	Drops    uint64
-	// Burst-committed dequeues (DequeueAt): each entry reserves the
-	// packet's bytes until its virtual transmission start so that
-	// admission checks between a burst commit and the staged starts see
-	// the same occupancy the per-packet path would. Entries are appended
-	// in start order and expired lazily as the wall clock reaches them.
-	pending      []pendingTx
-	pendHead     int
-	pendingBytes int
 	// extra, when set, reports external bytes (a link's fluid backlog)
 	// that count toward admission occupancy (FluidAware).
 	extra func() int
-}
-
-// pendingTx is one burst-committed dequeue: bytes reserved until at.
-type pendingTx struct {
-	at    sim.Time
-	bytes int
 }
 
 // NewDropTail returns a drop-tail queue with the given byte capacity.
@@ -126,28 +96,9 @@ func NewDropTail(capacityBytes int) *DropTail {
 	return &DropTail{Capacity: capacityBytes}
 }
 
-// expirePending releases reservations whose transmission has started by
-// now. The slice is reset (not resliced) when drained so the backing
-// array is reused by the next burst.
-func (d *DropTail) expirePending(now sim.Time) {
-	for d.pendHead < len(d.pending) && d.pending[d.pendHead].at <= now {
-		d.pendingBytes -= d.pending[d.pendHead].bytes
-		d.pendHead++
-	}
-	if d.pendHead == len(d.pending) {
-		d.pending = d.pending[:0]
-		d.pendHead = 0
-	}
-}
-
-// Enqueue adds p unless the buffer would overflow. Occupancy counts
-// burst-committed packets until their virtual transmission start, so the
-// drop decision is identical with bursting on or off.
+// Enqueue adds p unless the buffer would overflow.
 func (d *DropTail) Enqueue(p *Packet, now sim.Time) bool {
-	if d.pendingBytes > 0 {
-		d.expirePending(now)
-	}
-	occ := d.q.queued() + d.pendingBytes
+	occ := d.q.queued()
 	if d.extra != nil {
 		occ += d.extra()
 	}
@@ -164,9 +115,6 @@ func (d *DropTail) Enqueue(p *Packet, now sim.Time) bool {
 // delay. The delay accumulates across hops (a packet starts at zero when
 // sent), so on multi-hop routes QueueDelay is the route's total queueing.
 func (d *DropTail) Dequeue(now sim.Time) *Packet {
-	if d.pendingBytes > 0 {
-		d.expirePending(now)
-	}
 	p := d.q.pop()
 	if p != nil {
 		p.QueueDelay += now - p.EnqueuedAt
@@ -174,25 +122,10 @@ func (d *DropTail) Dequeue(now sim.Time) *Packet {
 	return p
 }
 
-// DequeueAt removes and returns the head packet as dequeued at the future
-// virtual time at (see BurstQueue): the recorded queueing delay uses at,
-// and the packet's bytes stay reserved against Capacity until at.
-func (d *DropTail) DequeueAt(at sim.Time) *Packet {
-	p := d.q.pop()
-	if p == nil {
-		return nil
-	}
-	p.QueueDelay += at - p.EnqueuedAt
-	d.pending = append(d.pending, pendingTx{at: at, bytes: p.Size})
-	d.pendingBytes += p.Size
-	return p
-}
-
-// BytesQueued returns the queue occupancy in bytes, including
-// burst-committed packets whose transmission has not yet started. The
-// external fluid occupancy is not included: the link tracks its backlog
-// separately (Link.FluidBacklog).
-func (d *DropTail) BytesQueued() int { return d.q.queued() + d.pendingBytes }
+// BytesQueued returns the queue occupancy in bytes. The external fluid
+// occupancy is not included: the link tracks its backlog separately
+// (Link.FluidBacklog).
+func (d *DropTail) BytesQueued() int { return d.q.queued() }
 
 // SetExtraOccupancy registers an external occupancy source counted by
 // Enqueue's admission check (FluidAware).

@@ -113,14 +113,6 @@ type Scenario struct {
 	// as the CLIs do): the string enters Key() verbatim.
 	FluidCross string `json:"fluid_cross,omitempty"`
 
-	// LinkBurst, when > 1, enables burst link forwarding with that
-	// per-event packet budget on every topology link without its own
-	// burst= parameter (exp.NetConfig.LinkBurst). Bursting changes when
-	// delivery callbacks execute (see netem.Link.SetBurst), so burst
-	// scenarios get their own key — results are not byte-comparable to
-	// per-packet runs.
-	LinkBurst int `json:"link_burst,omitempty"`
-
 	DurationSec float64 `json:"duration_sec"`
 	// Seed is the seed the user asked for (what names and result rows
 	// report). RunSeed, when non-zero, is what the simulation actually
@@ -158,9 +150,6 @@ func (s Scenario) Key() string {
 	}
 	if s.Topology != "" {
 		key += "/topo=" + s.Topology
-	}
-	if s.LinkBurst > 0 {
-		key += fmt.Sprintf("/burst=%d", s.LinkBurst)
 	}
 	if s.Churn != "" {
 		key += "/churn=" + s.Churn

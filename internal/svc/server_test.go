@@ -3,6 +3,7 @@ package svc
 import (
 	"bytes"
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
@@ -288,6 +289,17 @@ func TestServerBadRequests(t *testing.T) {
 	}
 	if _, err := client.Cancel(ctx, "999"); err == nil {
 		t.Fatal("cancel of unknown job should fail")
+	}
+	// Unknown fields are refused, never silently ignored: a scenario
+	// option that no longer exists must fail the request.
+	body := `{"grid": {"base": {"rate_mbps": 24, "duration_sec": 1, "link_burst": 16}}}`
+	resp, err := http.Post(client.Base+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("POST /jobs with link_burst: status %d, want 400", resp.StatusCode)
 	}
 	srv2 := &Server{Store: newTestStore(t, t.TempDir(), 4, "v"), Run: stubRun, MaxCells: 2}
 	hs := httptest.NewServer(srv2.Handler())

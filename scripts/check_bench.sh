@@ -24,10 +24,9 @@ compare_out=${3:-}
 # one gate per line.
 gates="
 BenchmarkSimulatorThroughput allocs_per_op -
-BenchmarkSimulatorThroughputBurst burst_allocs_per_op -
 BenchmarkTopologyThroughput topo_allocs_per_op -
-BenchmarkRealPlanAnalyze realplan_allocs_per_op realplan_ns_per_op
-BenchmarkLinkBurst linkburst_allocs_per_op linkburst_ns_per_op
+BenchmarkPlanAnalyze plan_allocs_per_op plan_ns_per_op
+BenchmarkLinkPerPacket link_allocs_per_op link_ns_per_op
 BenchmarkSchedulerChurn/heap-10k schedchurn_heap_allocs_per_op schedchurn_heap_ns_per_op
 BenchmarkFluidLink fluidlink_allocs_per_op fluidlink_ns_per_op
 BenchmarkSweepFluidVsPacket sweepfluid_allocs_per_op -
