@@ -40,25 +40,20 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
-	"nimbus/internal/crosstraffic"
 	"nimbus/internal/exp"
-	"nimbus/internal/netem"
 	"nimbus/internal/runner"
 	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
-	"nimbus/internal/workload"
 )
 
 func main() {
 	// main wraps realMain so the deferred profile writers run before the
-	// process exits.
+	// process exits, also after a failed run. Flag errors exit through
+	// fatalf before anything is simulated.
 	os.Exit(realMain())
 }
 
@@ -96,32 +91,12 @@ func realMain() int {
 		return 0
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiles, err := exp.StartProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
 	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle allocations so the profile shows live heap
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-		}()
-	}
+	defer stopProfiles()
 
 	grid := runner.Grid{
 		Base: runner.Scenario{
@@ -129,134 +104,51 @@ func realMain() int {
 			DurationSec:   sim.FromDuration(*dur).Seconds(),
 		},
 		RatesMbps:    parseFloats(*rate, "-rate"),
-		LinkTraces:   splitStrings(*trace),
-		RatePatterns: splitStrings(*pattern),
-		Topologies:   topoList(*topo),
+		LinkTraces:   spec.SplitList(*trace),
+		RatePatterns: spec.SplitList(*pattern),
+		Topologies:   spec.SplitList(*topo),
 		RTTsMs:       parseDurationsMs(*rtt, "-rtt"),
 		BuffersMs:    parseDurationsMs(*buf, "-buf"),
-		AQMs:         splitStrings(*aqm),
+		AQMs:         spec.SplitList(*aqm),
+		Churns:       spec.SplitList(*churn),
 		Crosses:      crossList(*cross, *crossMb),
-		Fluids:       fluidList(*fluid),
+		Fluids:       spec.SplitList(*fluid),
 		Seeds:        parseInts(*seed, "-seed"),
 	}
 	if *flows != "" {
 		if *churn != "" {
 			fatalf("-flows and -churn are mutually exclusive")
 		}
-		grid.FlowMixes = flowMixes(*flows)
+		if grid.FlowMixes = spec.SplitList(*flows); len(grid.FlowMixes) == 0 {
+			fatalf("-flows: no values given")
+		}
 	} else {
-		grid.Schemes = specList(*scheme)
+		if grid.Schemes, err = spec.ParseList(*scheme); err != nil {
+			fatalf("-scheme: %v", err)
+		}
 		if len(grid.Schemes) == 0 {
 			fatalf("-scheme: no values given")
 		}
 	}
-	grid.Churns = churnList(*churn)
+	if grid, err = exp.CanonicalGrid(grid); err != nil {
+		fatalf("%v", err)
+	}
 	scs := grid.Expand()
 	if len(scs) == 1 {
 		// Single-scenario mode runs with the requested seed itself (the
 		// historical behavior); seed derivation only matters for sweeps,
 		// where cells must not share random streams.
 		scs[0].RunSeed = 0
-		runSingle(scs[0], *quiet)
-		return 0
+		return runSingle(scs[0], *quiet)
 	}
-	runSweep(scs, *workers, *out)
-	return 0
-}
-
-// fluidList splits and canonicalizes the -fluid value: "off"/"none" map
-// to the empty (exact per-packet) axis value, "on" and "dt=..." to
-// their canonical spec strings, so equivalent spellings land on the
-// same scenario key and derived seed.
-func fluidList(s string) []string {
-	items := splitStrings(s)
-	for i, it := range items {
-		fs, err := crosstraffic.ParseFluidSpec(it)
-		if err != nil {
-			fatalf("-fluid: %v", err)
-		}
-		items[i] = fs.String()
-	}
-	return items
-}
-
-// specList parses a comma-separated scheme spec list, validating each
-// spec against the registry (names and parameters) so typos fail before
-// the sweep starts.
-func specList(s string) []spec.Spec {
-	sps, err := spec.ParseList(s)
-	if err != nil {
-		fatalf("-scheme: %v", err)
-	}
-	for _, sp := range sps {
-		if err := spec.Validate(sp); err != nil {
-			fatalf("-scheme: %v (see -list-schemes)", err)
-		}
-	}
-	return sps
-}
-
-// flowMixes splits and validates the -flows value — mix syntax plus
-// every item's scheme spec — and canonicalizes each mix, so equivalent
-// spellings ("nimbus + cubic" vs "nimbus+cubic") land on the same
-// scenario key and derived seed.
-func flowMixes(s string) []string {
-	mixes := spec.SplitList(s)
-	if len(mixes) == 0 {
-		fatalf("-flows: no values given")
-	}
-	for i, mix := range mixes {
-		fss, err := exp.ParseFlowMix(mix)
-		if err != nil {
-			fatalf("-flows: %v", err)
-		}
-		for _, fs := range fss {
-			if err := spec.Validate(fs.Scheme); err != nil {
-				fatalf("-flows: %v (see -list-schemes)", err)
-			}
-		}
-		mixes[i] = exp.FormatFlowMix(fss)
-	}
-	return mixes
-}
-
-// churnList splits and canonicalizes the -churn value (commas inside a
-// workload spec's parentheses don't split): equivalent spellings like
-// "bulk(load=24.0)" and "bulk(load=24)" land on the same scenario key
-// and derived seed.
-func churnList(s string) []string {
-	items := spec.SplitList(s)
-	for i, it := range items {
-		wsp, err := workload.ParseSpec(it)
-		if err != nil {
-			fatalf("-churn: %v", err)
-		}
-		items[i] = wsp.String()
-	}
-	return items
-}
-
-// topoList splits and canonicalizes the -topology value (commas inside a
-// chain spec's parentheses don't split). Canonicalization maps the single
-// topology to "", so "-topology single" lands on the same scenario key
-// (and seed, and results) as the default.
-func topoList(s string) []string {
-	items := spec.SplitList(s)
-	for i, it := range items {
-		c, err := netem.CanonicalTopology(it)
-		if err != nil {
-			fatalf("-topology: %v (see -list-topologies)", err)
-		}
-		items[i] = c
-	}
-	return items
+	return runSweep(scs, *workers, *out)
 }
 
 // crossList expands a comma-separated -cross value; every kind shares the
 // -cross-rate.
 func crossList(kinds string, rateMbps float64) []runner.Cross {
 	var out []runner.Cross
-	for _, k := range splitStrings(kinds) {
+	for _, k := range spec.SplitList(kinds) {
 		out = append(out, runner.Cross{Kind: k, RateMbps: rateMbps})
 	}
 	if len(out) == 0 {
@@ -266,7 +158,7 @@ func crossList(kinds string, rateMbps float64) []runner.Cross {
 }
 
 // runSweep executes the grid on the worker pool and prints a summary table.
-func runSweep(scs []runner.Scenario, workers int, out string) {
+func runSweep(scs []runner.Scenario, workers int, out string) int {
 	rn := &runner.Runner{Workers: workers, OnProgress: runner.Progress(os.Stderr)}
 	rs := rn.Run(scs, exp.RunScenario)
 
@@ -286,23 +178,23 @@ func runSweep(scs []runner.Scenario, workers int, out string) {
 	if out != "" {
 		if err := runner.WriteFile(out, rs); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", out)
 	}
+	return 0
 }
 
 // runSingle preserves the classic single-scenario view: a per-second
 // trace of throughput, queueing delay and Nimbus mode, then a summary.
-func runSingle(sc runner.Scenario, quiet bool) {
+func runSingle(sc runner.Scenario, quiet bool) int {
 	if sc.FlowMix != "" || sc.Churn != "" {
-		runSingleMetrics(sc)
-		return
+		return runSingleMetrics(sc)
 	}
 	r, scheme, probe, err := rigFor(sc)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
 	}
 	end := sim.FromSeconds(sc.DurationSec)
 	if !quiet {
@@ -338,16 +230,17 @@ func runSingle(sc runner.Scenario, quiet bool) {
 			scheme.Nimbus.ModeSwitches, scheme.Nimbus.Mode(), scheme.Nimbus.Role())
 	}
 	fmt.Println()
+	return 0
 }
 
 // runSingleMetrics runs one flow-mix or churn scenario and prints every
 // metric the run produced (per-flow throughputs, fairness, delays,
 // churn_* summaries), sorted by name.
-func runSingleMetrics(sc runner.Scenario) {
+func runSingleMetrics(sc runner.Scenario) int {
 	r := exp.RunScenario(sc)
 	if r.Err != "" {
 		fmt.Fprintln(os.Stderr, r.Err)
-		os.Exit(2)
+		return 2
 	}
 	if sc.FlowMix != "" {
 		fmt.Printf("flows: %s\n", sc.FlowMix)
@@ -362,6 +255,7 @@ func runSingleMetrics(sc runner.Scenario) {
 	for _, k := range names {
 		fmt.Printf("%-18s %12.3f\n", k, r.Metrics[k])
 	}
+	return 0
 }
 
 // rigFor materializes the scenario, turning harness panics (unknown
@@ -375,20 +269,9 @@ func rigFor(sc runner.Scenario) (r *exp.Rig, scheme exp.Scheme, probe *exp.FlowP
 	return exp.RigForScenario(sc)
 }
 
-func splitStrings(s string) []string {
-	parts := strings.Split(s, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 func parseFloats(s, flagName string) []float64 {
 	var out []float64
-	for _, p := range splitStrings(s) {
+	for _, p := range spec.SplitList(s) {
 		v, err := strconv.ParseFloat(p, 64)
 		if err != nil {
 			fatalf("%s: bad value %q: %v", flagName, p, err)
@@ -403,7 +286,7 @@ func parseFloats(s, flagName string) []float64 {
 
 func parseInts(s, flagName string) []int64 {
 	var out []int64
-	for _, p := range splitStrings(s) {
+	for _, p := range spec.SplitList(s) {
 		v, err := strconv.ParseInt(p, 10, 64)
 		if err != nil {
 			fatalf("%s: bad value %q: %v", flagName, p, err)
@@ -418,7 +301,7 @@ func parseInts(s, flagName string) []int64 {
 
 func parseDurationsMs(s, flagName string) []float64 {
 	var out []float64
-	for _, p := range splitStrings(s) {
+	for _, p := range spec.SplitList(s) {
 		d, err := time.ParseDuration(p)
 		if err != nil {
 			fatalf("%s: bad duration %q: %v", flagName, p, err)

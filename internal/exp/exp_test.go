@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -50,6 +52,34 @@ func TestEveryExperimentHasFamily(t *testing.T) {
 func TestRunUnknownExperiment(t *testing.T) {
 	if _, err := Run("fig99", 1, true); err == nil {
 		t.Fatal("expected error for unknown id")
+	}
+}
+
+// The shared -cpuprofile/-memprofile plumbing writes both profiles when
+// the stop func runs, and nothing when both paths are empty.
+func TestStartProfiles(t *testing.T) {
+	stop, err := StartProfiles("", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	stop, err = StartProfiles(cpu, mem)
+	if err != nil && strings.Contains(err.Error(), "already in use") {
+		t.Skip("the test binary is already CPU-profiling")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	for _, f := range []string{cpu, mem} {
+		if st, err := os.Stat(f); err != nil || st.Size() == 0 {
+			t.Errorf("%s: not written (%v)", f, err)
+		}
+	}
+	if _, err := StartProfiles(filepath.Join(dir, "no", "such", "dir"), ""); err == nil {
+		t.Error("an uncreatable -cpuprofile path should fail")
 	}
 }
 

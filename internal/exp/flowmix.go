@@ -2,11 +2,18 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
+	"nimbus/internal/crosstraffic"
+	"nimbus/internal/netem"
+	"nimbus/internal/runner"
 	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
+	"nimbus/internal/workload"
 )
 
 // ParseFlowMix parses the compact flow-mix syntax scenarios and CLIs use
@@ -85,6 +92,109 @@ func FormatFlowMix(specs []FlowSpec) string {
 		parts[i] = s
 	}
 	return strings.Join(parts, "+")
+}
+
+// CanonicalGrid is the one front door for grids from outside the
+// program (CLI flags, -grid files, POST /jobs). Spec strings enter
+// Scenario.Key verbatim, so it rewrites topologies, flow mixes, churn and
+// fluid specs, in the base and on every axis, to their canonical
+// spelling ("" stays ""), and checks that every scheme, including each
+// flow mix item's, builds. Errors name the JSON field ("topologies[1]:
+// ..."). Rewritten axes are fresh slices; g's are never written.
+func CanonicalGrid(g runner.Grid) (runner.Grid, error) {
+	var err error
+	if !g.Base.Scheme.Zero() {
+		if err := validateScheme(g.Base.Scheme); err != nil {
+			return runner.Grid{}, fmt.Errorf("base.scheme: %w", err)
+		}
+	}
+	for i, sp := range g.Schemes {
+		if err := validateScheme(sp); err != nil {
+			return runner.Grid{}, fmt.Errorf("schemes[%d]: %w", i, err)
+		}
+	}
+	if g.Base.Topology, g.Topologies, err = canonicalAxis("topology", "topologies", g.Base.Topology, g.Topologies, netem.CanonicalTopology); err != nil {
+		return runner.Grid{}, err
+	}
+	if g.Base.FlowMix, g.FlowMixes, err = canonicalAxis("flow_mix", "flow_mixes", g.Base.FlowMix, g.FlowMixes, canonicalFlowMix); err != nil {
+		return runner.Grid{}, err
+	}
+	if g.Base.Churn, g.Churns, err = canonicalAxis("churn", "churns", g.Base.Churn, g.Churns, func(s string) (string, error) {
+		w, err := workload.ParseSpec(s)
+		return w.String(), err
+	}); err != nil {
+		return runner.Grid{}, err
+	}
+	if g.Base.FluidCross, g.Fluids, err = canonicalAxis("fluid_cross", "fluids", g.Base.FluidCross, g.Fluids, func(s string) (string, error) {
+		f, err := crosstraffic.ParseFluidSpec(s)
+		return f.String(), err
+	}); err != nil {
+		return runner.Grid{}, err
+	}
+	return g, nil
+}
+
+// canonicalAxis applies one canonicalization rule to a base field and its
+// sweep axis, returning the axis as a fresh slice.
+func canonicalAxis(baseField, axisField, base string, axis []string, canon func(string) (string, error)) (string, []string, error) {
+	if base != "" {
+		c, err := canon(base)
+		if err != nil {
+			return "", nil, fmt.Errorf("base.%s: %w", baseField, err)
+		}
+		base = c
+	}
+	axis = slices.Clone(axis)
+	for i, s := range axis {
+		if s == "" {
+			continue
+		}
+		c, err := canon(s)
+		if err != nil {
+			return "", nil, fmt.Errorf("%s[%d]: %w", axisField, i, err)
+		}
+		axis[i] = c
+	}
+	return base, axis, nil
+}
+
+// canonicalFlowMix validates a flow mix, including every item's scheme,
+// and renders it in canonical form.
+func canonicalFlowMix(mix string) (string, error) {
+	fss, err := ParseFlowMix(mix)
+	if err != nil {
+		return "", err
+	}
+	for _, fs := range fss {
+		if err := validateScheme(fs.Scheme); err != nil {
+			return "", err
+		}
+	}
+	return FormatFlowMix(fss), nil
+}
+
+// validSchemes memoizes scheme.Validate's successes by spec string, up to
+// maxValidSchemes entries: registrations never change, and the trial
+// build (a Nimbus detector's FFT plan) would dominate each POST /jobs.
+var (
+	validSchemes  sync.Map // spec string -> struct{}
+	nValidSchemes atomic.Int64
+)
+
+const maxValidSchemes = 1024
+
+func validateScheme(sp spec.Spec) error {
+	key := sp.String()
+	if _, ok := validSchemes.Load(key); ok {
+		return nil
+	}
+	if err := spec.Validate(sp); err != nil {
+		return err
+	}
+	if nValidSchemes.Add(1) <= maxValidSchemes {
+		validSchemes.Store(key, struct{}{})
+	}
+	return nil
 }
 
 // lastTop returns the index of the last occurrence of sep at parenthesis

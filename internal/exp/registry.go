@@ -3,6 +3,8 @@ package exp
 import (
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strings"
 
@@ -148,6 +150,50 @@ func HandleListFlags(schemes, traces, topologies, experiments bool) bool {
 	}
 	fmt.Print(out)
 	return true
+}
+
+// StartProfiles is the CLIs' shared -cpuprofile/-memprofile plumbing:
+// it starts a CPU profile into cpu (when set) and returns a stop func
+// that writes a heap profile of the live heap into mem (when set, after
+// a GC) and then stops the CPU profile. Mains defer stop so the profiles
+// are written on error exits too — those are the ones worth inspecting.
+func StartProfiles(cpu, mem string) (stop func(), err error) {
+	stopCPU := func() {}
+	if cpu != "" {
+		f, err := os.Create(cpu)
+		if err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return nil, err
+		}
+		stopCPU = func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+			}
+		}
+	}
+	return func() {
+		defer stopCPU()
+		if mem == "" {
+			return
+		}
+		f, err := os.Create(mem)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return
+		}
+		runtime.GC() // settle allocations so the profile shows live heap
+		err = pprof.WriteHeapProfile(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+		}
+	}, nil
 }
 
 // Family is one group of related experiments in the registry: the paper

@@ -23,9 +23,9 @@
 //     "/churn=", ...), so every scenario expressible before the field
 //     existed keeps its exact key, derived seed, and results.
 //
-// Fields whose string form has equivalent spellings (topologies, flow
-// mixes, churn specs) must be stored canonicalized, as the CLIs do:
-// the string enters the key verbatim.
+// Spec-valued fields (topology, flow mix, churn, fluid) enter the key
+// verbatim; grids from outside the program go through exp.CanonicalGrid,
+// which maps equivalent spellings to one canonical string.
 package runner
 
 import (
@@ -65,10 +65,7 @@ type Scenario struct {
 	// Topology selects the path topology: "" is the paper's single
 	// bottleneck; otherwise a preset name ("access-hop", "parking-lot",
 	// "rev-congested") or a chain spec like "access(x4,5ms)->bn"
-	// (netem.ParseTopology). Store the canonical form
-	// (netem.CanonicalTopology, as the CLIs do — it maps the single
-	// topology to ""): the string enters Key() verbatim, so equivalent
-	// spellings would otherwise derive different seeds.
+	// (netem.ParseTopology).
 	Topology string `json:"topology,omitempty"`
 
 	// Scheme under test: a typed scheme spec ("nimbus", "copa(delta=0.1)",
@@ -81,9 +78,6 @@ type Scenario struct {
 	// SPEC[*COUNT][@STARTs[:STOPs]], e.g. "nimbus*2+cubic@10" (two Nimbus
 	// flows at t=0 and one Cubic flow joining at t=10s). internal/exp
 	// parses it into FlowSpecs and reports per-flow and fairness metrics.
-	// Store the canonical form (exp.FormatFlowMix of exp.ParseFlowMix, as
-	// the CLIs do): the string enters Key() verbatim, so equivalent
-	// spellings would otherwise derive different seeds.
 	FlowMix string `json:"flow_mix,omitempty"`
 
 	// Churn, when non-empty, runs the scenario as a flow-churn workload:
@@ -91,10 +85,7 @@ type Scenario struct {
 	// (internal/workload) of short flows arriving and departing for the
 	// whole horizon, and the result carries detection-accuracy and
 	// fairness-under-churn metrics. The spec is a workload.Spec string
-	// like "bulk(load=24)" or "web(load=12,cc=cubic)". Store the
-	// canonical form (workload.ParseSpec(...).String(), as the CLIs do):
-	// the string enters Key() verbatim, so equivalent spellings would
-	// otherwise derive different seeds.
+	// like "bulk(load=24)" or "web(load=12,cc=cubic)".
 	Churn string `json:"churn,omitempty"`
 
 	// Cross traffic (internal/exp.AddCross kinds) and its offered rate.
@@ -109,8 +100,6 @@ type Scenario struct {
 	// cubic, reno) are affected; the foreground scheme stays exact
 	// per-packet. Fluid runs approximate the packet path, so they get
 	// their own key — results are not byte-comparable to packet runs.
-	// Store the canonical form (crosstraffic.ParseFluidSpec(...).String(),
-	// as the CLIs do): the string enters Key() verbatim.
 	FluidCross string `json:"fluid_cross,omitempty"`
 
 	DurationSec float64 `json:"duration_sec"`

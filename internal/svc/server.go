@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nimbus/internal/exp"
 	"nimbus/internal/fault"
 	"nimbus/internal/runner"
 )
@@ -67,8 +68,9 @@ type Metrics struct {
 }
 
 // Server owns the job table and the HTTP surface. Run is the simulation
-// entry point (cmd/nimbus-svc wires exp.RunScenario; tests wire stubs),
-// so the package never imports the experiment layer.
+// entry point (cmd/nimbus-svc wires exp.RunScenario; tests wire stubs).
+// Submitted grids pass through exp.CanonicalGrid, so every spelling of a
+// cell shares one cache entry and invalid specs are rejected up front.
 type Server struct {
 	// Store caches results; required.
 	Store *Store
@@ -180,7 +182,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad job request: %v", err)
 		return
 	}
-	scs := req.Grid.Expand()
+	g, err := exp.CanonicalGrid(req.Grid)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "bad grid: %v", err)
+		return
+	}
+	scs := g.Expand()
 	if len(scs) == 0 {
 		httpError(w, http.StatusBadRequest, "grid expanded to no scenarios")
 		return
@@ -218,7 +225,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// Write-ahead: the submission is journaled before the job starts, so
 	// a crash at any later point replays it.
-	s.appendJournal(Record{Type: recSubmit, ID: id, Grid: &req.Grid, Workers: req.Workers})
+	s.appendJournal(Record{Type: recSubmit, ID: id, Grid: &g, Workers: req.Workers})
 	s.logf("job %s: submitted, %d cells, %d workers", id, len(scs), workers)
 	go s.runJob(ctx, j, workers)
 	writeJSON(w, http.StatusAccepted, JobCreated{ID: id, Total: len(scs)})

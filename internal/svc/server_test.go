@@ -3,6 +3,8 @@ package svc
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -307,6 +309,92 @@ func TestServerBadRequests(t *testing.T) {
 	big := NewClient(hs.URL)
 	if _, err := big.Submit(ctx, smallGrid(), 0); err == nil || !strings.Contains(err.Error(), "limit") {
 		t.Fatalf("oversized grid: err = %v, want cell-limit rejection", err)
+	}
+
+	// An invalid spec on any axis is a 400 naming the field: no job, no
+	// journal record, no cell run.
+	journalDir := t.TempDir()
+	journal, _, err := OpenJournal(journalDir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv3 := &Server{Store: newTestStore(t, t.TempDir(), 4, "v"), Journal: journal, Run: func(sc runner.Scenario) runner.Result {
+		t.Errorf("invalid grid ran cell %s", sc.Key())
+		return stubRun(sc)
+	}}
+	hs3 := httptest.NewServer(srv3.Handler())
+	defer hs3.Close()
+	strict := NewClient(hs3.URL)
+	for _, c := range []struct{ grid, field string }{
+		{`{"schemes": ["cubic", "nosuch"]}`, "schemes[1]"},
+		{`{"topologies": ["nosuch"]}`, "topologies[0]"},
+		{`{"flow_mixes": ["nimbus+nosuch"]}`, "flow_mixes[0]"},
+		{`{"churns": ["bulk(nosuch=1)"]}`, "churns[0]"},
+		{`{"base": {"fluid_cross": "sometimes"}}`, "base.fluid_cross"},
+	} {
+		var g runner.Grid
+		if err := json.Unmarshal([]byte(c.grid), &g); err != nil {
+			t.Fatal(err)
+		}
+		_, err := strict.Submit(ctx, g, 0)
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || !strings.Contains(apiErr.Message, c.field+": ") {
+			t.Errorf("grid %s: err = %v, want 400 naming %s", c.grid, err, c.field)
+		}
+	}
+	journal.Close()
+	if _, recs, err := OpenJournal(journalDir, false); err != nil || len(recs) != 0 {
+		t.Fatalf("rejected grids left journal records %+v (err %v)", recs, err)
+	}
+}
+
+// TestServerCanonicalizesSpellings: a grid resubmitted with equivalent
+// spellings of its specs is the same set of cells, served entirely from
+// the cache with byte-identical results.
+func TestServerCanonicalizesSpellings(t *testing.T) {
+	var runs atomic.Int64
+	client, _ := newTestServer(t, func(sc runner.Scenario) runner.Result {
+		runs.Add(1)
+		return stubRun(sc)
+	})
+	ctx := context.Background()
+	g1 := smallGrid()
+	g1.Churns = []string{"bulk(load=24)"}
+	g1.Base.FlowMix = "nimbus+cubic"
+	g2 := smallGrid()
+	g2.Churns = []string{"bulk(load=24.0)"}
+	g2.Base.FlowMix = "nimbus + cubic"
+	g2.Topologies = []string{"single"}
+	g2.Fluids = []string{"off"}
+
+	created1, err := client.Submit(ctx, g1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw1, err := client.RawResults(ctx, created1.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	created2, err := client.Submit(ctx, g2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw2, err := client.RawResults(ctx, created2.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runs.Load(); got != 4 {
+		t.Fatalf("respelled resubmission re-simulated (%d total runs, want 4)", got)
+	}
+	if !bytes.Equal(raw1, raw2) {
+		t.Fatalf("respelled resubmission not byte-identical:\n1: %s\n2: %s", raw1, raw2)
+	}
+	st, err := client.Status(ctx, created2.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != JobDone || st.Cells.Miss != 0 || st.Cells.Hit != st.Total {
+		t.Fatalf("respelled job status %+v, want done with all hits", st)
 	}
 }
 

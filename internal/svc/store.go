@@ -12,8 +12,8 @@
 // Job (one submitted sweep and its progress), Server (the HTTP surface,
 // cmd/nimbus-svc wires it to exp.RunScenario), and Client (the typed
 // consumer, used by nimbus-bench -remote). Server takes its RunFunc as
-// configuration so the package — and its tests — stay free of the
-// experiment layer.
+// configuration so tests can stub the simulation; it uses the experiment
+// layer only to canonicalize submitted grids (exp.CanonicalGrid).
 package svc
 
 import (
